@@ -73,8 +73,12 @@ let tx_read t tx addr =
   match List.assq_opt c tx.writes with
   | Some v -> v
   | None ->
+      (* version before value: commit stores the value first, so a
+         value read after this version is either the one it labels or
+         a newer one that fails validation *)
+      let ver = c.version in
       let v = c.value in
-      tx.reads <- (c, c.version) :: tx.reads;
+      tx.reads <- (c, ver) :: tx.reads;
       (* per-access instrumentation: TinySTM's lock-table lookup and
          timestamp validation on every transactional load *)
       Util.Spin_wait.ns 40;

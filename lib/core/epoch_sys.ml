@@ -769,6 +769,29 @@ let pget_unsafe t p =
   let stat_tid = untracked_slot t in
   match mirror_hit t ~stat_tid p with Some b -> b | None -> pget_cold t ~stat_tid p
 
+(* In-place prefix read, for rebuilding a transient index from
+   recovered payloads without warming them: the content is read
+   straight from the region in whole 64 B lines, growing until [need]
+   (given the prefix read so far) is covered, so every line is charged
+   exactly once.  No mirror, memo or hit/miss count is touched; the
+   handle stays cold until its first [pget]. *)
+let peek_unsafe t p ~need =
+  check_live p;
+  let base = Payload_hdr.content_off p.off in
+  let line = Nvm.Region.line_size in
+  let rec grow buf =
+    let have = Bytes.length buf in
+    let want = min p.size (need buf) in
+    if want <= have then buf
+    else begin
+      let upto = min p.size ((((base + want + line - 1) / line) * line) - base) in
+      let buf = Bytes.extend buf 0 (upto - have) in
+      Nvm.Region.read t.region ~off:(base + have) ~dst:buf ~dst_off:have ~len:(upto - have);
+      grow buf
+    end
+  in
+  grow Bytes.empty
+
 (* ---- decoded-value memo API (the [Payload.Make] fast path) ---- *)
 
 (* [memo_get] returns the handle's memoized decoded value (as the
@@ -1334,9 +1357,14 @@ let recover ?(config = Config.default) ?(threads = 1) region =
   (match t.chk with Some c -> Nvm.Pcheck.set_recovery_scan c true | None -> ());
   Ralloc.rescan t.alloc;
   let threads = max 1 (min threads (Nvm.Region.max_threads region)) in
+  (* a uid table holds at most one entry per block it covers, so it is
+     sized up front from the allocator's block count and never rehashes *)
+  let uid_table ~slice ~slices : (int, Payload_hdr.t * int) Hashtbl.t =
+    Hashtbl.create (Ralloc.count_blocks_slice t.alloc ~slice ~slices)
+  in
   (* pass 1: newest qualifying version per uid, per slice *)
   let scan_slice slice =
-    let local : (int, Payload_hdr.t * int) Hashtbl.t = Hashtbl.create 4096 in
+    let local = uid_table ~slice ~slices:threads in
     let max_uid = ref 0 in
     Ralloc.iter_blocks_slice t.alloc ~slice ~slices:threads (fun ~off ~size ->
         match Payload_hdr.read region ~off ~block_size:size with
@@ -1354,7 +1382,7 @@ let recover ?(config = Config.default) ?(threads = 1) region =
     else Array.init threads (fun s -> Domain.spawn (fun () -> scan_slice s)) |> Array.map Domain.join
   in
   (* sequential merge of the per-slice winners *)
-  let best : (int, Payload_hdr.t * int) Hashtbl.t = Hashtbl.create 4096 in
+  let best = uid_table ~slice:0 ~slices:1 in
   let max_uid = ref 0 in
   Array.iter
     (fun (local, local_max) ->

@@ -145,6 +145,16 @@ val pget : t -> tid:int -> pblk -> bytes
     Mirror-served like {!pget}. *)
 val pget_unsafe : t -> pblk -> bytes
 
+(** In-place prefix read of a payload's content, for rebuilding a
+    transient index from recovered handles.  Reads whole 64 B lines
+    straight from the region, growing the prefix until it holds
+    [need prefix] bytes (capped at the content size), and returns it
+    (possibly longer than asked).  Each line is charged exactly once;
+    no mirror, memo or mirror statistic is touched, so the handle stays
+    cold until its first {!pget}.  No old-sees-new check.
+    @raise Errors.Use_after_free on a dead handle. *)
+val peek_unsafe : t -> pblk -> need:(bytes -> int) -> bytes
+
 (** {1 Decoded-value memos (the {!Payload.Make} fast path)}
 
     Each [Payload.Make] instance declares [exception Memo of C.t] and

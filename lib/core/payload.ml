@@ -70,9 +70,6 @@ module Make (C : CONTENT) = struct
     h'
 
   let pdelete esys ~tid h = Epoch_sys.pdelete esys ~tid h
-
-  (* Decode a payload recovered after a crash. *)
-  let of_recovered esys h = (h, get_unsafe esys h)
 end
 
 (* Ready-made codecs for common content shapes. *)
@@ -113,6 +110,10 @@ module Kv_content = struct
   let decode_key b =
     let klen = Int32.to_int (Bytes.get_int32_le b 0) in
     Bytes.sub_string b 4 klen
+
+  (* How long a prefix [decode_key] needs, given the prefix read so
+     far: the length word first, then the key it announces. *)
+  let key_prefix_len b = if Bytes.length b < 4 then 4 else 4 + Int32.to_int (Bytes.get_int32_le b 0)
 end
 
 (* Sequence-numbered items, the shape used by queues: a queue's
@@ -184,6 +185,12 @@ module Kv = struct
         let v = Kv_content.decode_value b in
         Epoch_sys.memo_store esys h ~src:b (Memo_value v);
         v
+
+  (* Key-only read of a recovered payload, for index rebuilds: only
+     the lines covering [klen | key] are loaded, and the handle stays
+     cold (no mirror, no memo) until its first [get]. *)
+  let recovered_key esys h =
+    Kv_content.decode_key (Epoch_sys.peek_unsafe esys h ~need:Kv_content.key_prefix_len)
 end
 
 module Seq = Make (Seq_content)

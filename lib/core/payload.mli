@@ -34,9 +34,6 @@ module Make (C : CONTENT) : sig
   val get_unsafe : Epoch_sys.t -> handle -> C.t
   val set : Epoch_sys.t -> tid:int -> handle -> C.t -> handle
   val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
-
-  (** Decode a payload recovered after a crash: [(handle, content)]. *)
-  val of_recovered : Epoch_sys.t -> handle -> handle * C.t
 end
 
 (** Raw string contents. *)
@@ -51,8 +48,13 @@ module Kv_content : sig
   val decode_value : bytes -> string
 
   (** Decode only the key — the complement used by {!Kv.get} to upgrade
-      a value-only memo to the full pair. *)
+      a value-only memo to the full pair.  Works on any prefix of the
+      encoding at least [key_prefix_len] long. *)
   val decode_key : bytes -> string
+
+  (** Bytes of the encoding {!decode_key} needs, given a prefix of it:
+      4 while the length word is incomplete, then [4 + klen]. *)
+  val key_prefix_len : bytes -> int
 end
 
 (** Sequence-numbered items — the shape of queues and stacks, whose
@@ -71,7 +73,6 @@ module Str : sig
   val get_unsafe : Epoch_sys.t -> handle -> string
   val set : Epoch_sys.t -> tid:int -> handle -> string -> handle
   val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
-  val of_recovered : Epoch_sys.t -> handle -> handle * string
 end
 
 module Kv : sig
@@ -85,7 +86,6 @@ module Kv : sig
   val get_unsafe : Epoch_sys.t -> handle -> string * string
   val set : Epoch_sys.t -> tid:int -> handle -> string * string -> handle
   val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
-  val of_recovered : Epoch_sys.t -> handle -> handle * (string * string)
 
   (** The value of a [(key, value)] payload without materializing the
       key (value-only memo on warm handles).  The two memo shapes share
@@ -93,6 +93,13 @@ module Kv : sig
       satisfied by either, and {!get} upgrades a value-only memo to the
       full pair in place (key-only re-decode of the warm bytes). *)
   val get_value : Epoch_sys.t -> tid:int -> handle -> string
+
+  (** The key of a recovered payload, read in place for rebuilding an
+      index: only the 64 B lines covering [[klen | key]] are loaded,
+      each charged once ({!Epoch_sys.peek_unsafe}), and no mirror or
+      memo is installed, so the handle stays cold until its first
+      {!get}/{!get_value}. *)
+  val recovered_key : Epoch_sys.t -> handle -> string
 end
 
 module Seq : sig
@@ -105,5 +112,4 @@ module Seq : sig
   val get_unsafe : Epoch_sys.t -> handle -> int * string
   val set : Epoch_sys.t -> tid:int -> handle -> int * string -> handle
   val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
-  val of_recovered : Epoch_sys.t -> handle -> handle * (int * string)
 end

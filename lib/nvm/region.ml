@@ -61,13 +61,32 @@ type t = {
 
 let queue_capacity = 4096
 
-let create ?(latency = Latency.default) ?(max_threads = 64) ~capacity () =
-  if capacity <= 0 then invalid_arg "Region.create: capacity";
-  let capacity = (capacity + line_size - 1) land lnot (line_size - 1) in
+(* madvise(MADV_HUGEPAGE) on the buffer's 2 MiB-aligned interior; a
+   no-op where the host has no transparent huge pages *)
+external advise_hugepages : Bytes.t -> unit = "montage_madvise_hugepage" [@@noalloc]
+
+(* Every large buffer of a region — [work], [media] and the copies
+   [media_image] hands out — comes from here: [capacity] bytes holding
+   [src] followed by zeros, backed by 2 MiB pages where the kernel
+   allows, as a DAX mapping of real PMEM is.  The advice is given
+   before any byte is written, so the first touch of each 2 MiB extent
+   faults in one huge page instead of 512 small ones; and the buffer is
+   only zeroed past [src], never filled and then overwritten. *)
+let buffer ?(src = Bytes.empty) capacity =
+  let b = Bytes.create capacity in
+  advise_hugepages b;
+  let n = Bytes.length src in
+  Bytes.blit src 0 b 0 n;
+  Bytes.fill b n (capacity - n) '\000';
+  b
+
+let round_to_line n = (n + line_size - 1) land lnot (line_size - 1)
+
+let make ~latency ~max_threads ~capacity ~src =
   {
     capacity;
-    work = Bytes.make capacity '\000';
-    media = Bytes.make capacity '\000';
+    work = buffer ~src capacity;
+    media = buffer ~src capacity;
     dirty = Bytes.make (capacity lsr line_shift) '\000';
     queues = Array.init max_threads (fun _ -> Array.make queue_capacity 0);
     queue_len = Array.make max_threads 0;
@@ -85,22 +104,24 @@ let create ?(latency = Latency.default) ?(max_threads = 64) ~capacity () =
     cas_lock = Mutex.create ();
   }
 
+let create ?(latency = Latency.default) ?(max_threads = 64) ~capacity () =
+  if capacity <= 0 then invalid_arg "Region.create: capacity";
+  make ~latency ~max_threads ~capacity:(round_to_line capacity) ~src:Bytes.empty
+
 (* Reconstruct a region from a raw media image (e.g. one of the crash
    states materialized by [Pcheck.explore]): both [work] and [media]
    start as the image — exactly the post-restart view after the crash
-   that produced it. *)
+   that produced it.  An image whose length is not a line multiple is
+   zero-padded to the next line. *)
 let of_image ?(latency = Latency.default) ?(max_threads = 64) image =
-  let t = create ~latency ~max_threads ~capacity:(Bytes.length image) () in
-  let len = min (Bytes.length image) t.capacity in
-  Bytes.blit image 0 t.work 0 len;
-  Bytes.blit image 0 t.media 0 len;
-  t
+  if Bytes.length image = 0 then invalid_arg "Region.of_image: empty image";
+  make ~latency ~max_threads ~capacity:(round_to_line (Bytes.length image)) ~src:image
 
 (* Snapshot of the current media bytes — the crash state with no
    unfenced survivors.  Feed to [of_image] to restart from this exact
    durable state any number of times (e.g. to compare recoveries at
    different parallelism on one crash image). *)
-let media_image t = Bytes.copy t.media
+let media_image t = buffer ~src:t.media t.capacity
 
 let capacity t = t.capacity
 let latency t = t.latency

@@ -24,12 +24,21 @@ val create : ?latency:Latency.t -> ?max_threads:int -> capacity:int -> unit -> t
 
 (** Reconstruct a region from a raw media image (e.g. a crash state
     materialized by {!Pcheck.explore}): both work and media start as
-    the image, exactly the post-restart view after that crash. *)
+    the image, exactly the post-restart view after that crash.  The
+    region owns private copies (later changes to [image] or to another
+    region built from it are not seen).  An image whose length is not a
+    line multiple is zero-padded up to the next line.
+    @raise Invalid_argument on an empty image. *)
 val of_image : ?latency:Latency.t -> ?max_threads:int -> Bytes.t -> t
 
-(** Copy of the current media bytes: the crash state in which no
-    unfenced line survived.  Round-trips through {!of_image}, so one
-    image can seed any number of independent recoveries. *)
+(** Copy of the current media bytes ({!capacity} long): the crash
+    state in which no unfenced line survived.  Round-trips through
+    {!of_image}, so one image can seed any number of independent
+    recoveries.
+
+    The region's buffers and these copies ask the kernel for 2 MiB
+    transparent huge pages (best effort, as a DAX mapping of PMEM is
+    backed); where that is unavailable only the timing differs. *)
 val media_image : t -> Bytes.t
 
 val capacity : t -> int

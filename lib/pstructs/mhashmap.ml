@@ -189,11 +189,13 @@ let to_alist t ~tid =
 
 (* Rebuild the transient index from recovered payloads.  Single slice:
    the whole map; multiple slices can be inserted by parallel domains
-   via [recover_slice] (bucket locks make it safe). *)
+   via [recover_slice] (bucket locks make it safe).  Only each
+   payload's key is read; values stay on NVM, and handles cold, until
+   first touched. *)
 let recover_slice t payloads =
   Array.iter
     (fun p ->
-      let key, _ = Kv.get_unsafe t.esys p in
+      let key = Kv.recovered_key t.esys p in
       let b = bucket_of t key in
       Util.Spin_lock.with_lock b.lock (fun () ->
           let rec splice prev curr =

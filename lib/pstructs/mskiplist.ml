@@ -200,7 +200,7 @@ let recover ?(threads = 1) esys payloads =
      parallel slices contend on the single lock, so recovery is
      sequentialized structurally but slices can decode in parallel *)
   let decoded =
-    if threads <= 1 then Array.map (fun p -> (fst (Kv.get_unsafe esys p), p)) payloads
+    if threads <= 1 then Array.map (fun p -> (Kv.recovered_key esys p, p)) payloads
     else begin
       let out = Array.make (Array.length payloads) ("", payloads.(0)) in
       let slices = E.slices payloads ~k:threads in
@@ -216,7 +216,7 @@ let recover ?(threads = 1) esys payloads =
           (fun i s ->
             Domain.spawn (fun () ->
                 Array.iteri
-                  (fun j p -> out.(offsets.(i) + j) <- (fst (Kv.get_unsafe esys p), p))
+                  (fun j p -> out.(offsets.(i) + j) <- (Kv.recovered_key esys p, p))
                   s))
           slices
       in

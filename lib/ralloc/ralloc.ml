@@ -38,6 +38,7 @@ type t = {
 }
 
 let sb_index t off = (off - t.heap_base) / superblock_size
+let blocks_per_superblock cls = (superblock_size - header_size) / Size_class.size_of cls
 
 let create ?(cache_capacity = 32) region ~heap_base =
   let capacity = Nvm.Region.capacity region in
@@ -77,8 +78,7 @@ let carve_superblock t ~tid cls =
       Nvm.Region.persist t.region ~tid ~off:sb ~len:8;
       Atomic.set t.bump (sb + superblock_size);
       let block_size = Size_class.size_of cls in
-      let blocks = (superblock_size - header_size) / block_size in
-      for i = blocks - 1 downto 0 do
+      for i = blocks_per_superblock cls - 1 downto 0 do
         Free_list.push t.region t.global.(cls) (sb + header_size + (i * block_size))
       done)
 
@@ -138,14 +138,27 @@ let iter_blocks_slice t ~slice ~slices f =
       let cls = Nvm.Region.get_i32 t.region ~off:(sb + 4) in
       if cls >= 0 && cls < Size_class.count then begin
         let block_size = Size_class.size_of cls in
-        let blocks = (superblock_size - header_size) / block_size in
-        for i = 0 to blocks - 1 do
+        for i = 0 to blocks_per_superblock cls - 1 do
           f ~off:(sb + header_size + (i * block_size)) ~size:block_size
         done
       end
     end;
     off := sb + stride
   done
+
+(* How many blocks [iter_blocks_slice] will enumerate, from the
+   transient superblock bindings alone (no region reads) — lets
+   recovery size its tables before the scan. *)
+let count_blocks_slice t ~slice ~slices =
+  let n = ref 0 in
+  let i = ref slice in
+  let bound = sb_index t (Atomic.get t.bump) in
+  while !i < bound do
+    let cls = t.sb_class.(!i) in
+    if cls >= 0 then n := !n + blocks_per_superblock cls;
+    i := !i + slices
+  done;
+  !n
 
 (* Enumerate every block of every bound superblock, reading headers from
    the post-crash image.  Order is address order. *)

@@ -85,6 +85,10 @@ val iter_blocks : t -> (off:int -> size:int -> unit) -> unit
     partition the heap). *)
 val iter_blocks_slice : t -> slice:int -> slices:int -> (off:int -> size:int -> unit) -> unit
 
+(** Number of blocks {!iter_blocks_slice} enumerates for the same
+    [slice]/[slices] (valid after {!rescan}; reads no region bytes). *)
+val count_blocks_slice : t -> slice:int -> slices:int -> int
+
 (** {1 Diagnostics} *)
 
 val allocated_superblocks : t -> int

@@ -330,6 +330,102 @@ let test_crash_matrix_recovery_is_cold () =
   Alcotest.(check bool) "states explored" true (report.P.states > 0);
   Alcotest.(check int) "recovery never observes pre-crash mirrors" 0 report.P.failures
 
+(* ---- touch-proportional rebuild ----
+
+   A map's [recover] reads only each payload's [klen | key] lines in
+   place: afterwards nothing is resident, nothing was a hit, the NVM
+   lines charged are at most those covering the keys, and each key's
+   first read is the miss that loads its value. *)
+
+type rebuilt = {
+  (* a fresh map over the esys, as its upsert *)
+  fresh : E.t -> string -> string -> unit;
+  (* the map rebuilt from recovered payloads, as its get *)
+  rebuild : E.t -> E.pblk array -> string -> string option;
+}
+
+let mhashmap_rebuilt =
+  {
+    fresh =
+      (fun esys ->
+        let m = Pstructs.Mhashmap.create ~buckets:64 esys in
+        fun k v -> ignore (Pstructs.Mhashmap.put m ~tid:0 k v));
+    rebuild =
+      (fun esys ps -> Pstructs.Mhashmap.get (Pstructs.Mhashmap.recover ~buckets:64 ~threads:2 esys ps) ~tid:0);
+  }
+
+let nb_hashmap_rebuilt =
+  {
+    fresh =
+      (fun esys ->
+        let m = Pstructs.Nb_hashmap.create ~buckets:64 esys in
+        fun k v ->
+          ignore (Pstructs.Nb_hashmap.remove m ~tid:0 k);
+          ignore (Pstructs.Nb_hashmap.add m ~tid:0 k v));
+    rebuild =
+      (fun esys ps -> Pstructs.Nb_hashmap.get (Pstructs.Nb_hashmap.recover ~buckets:64 esys ps) ~tid:0);
+  }
+
+let mskiplist_rebuilt =
+  {
+    fresh =
+      (fun esys ->
+        let m = Pstructs.Mskiplist.create esys in
+        fun k v -> ignore (Pstructs.Mskiplist.put m ~tid:0 k v));
+    rebuild = (fun esys ps -> Pstructs.Mskiplist.get (Pstructs.Mskiplist.recover ~threads:2 esys ps) ~tid:0);
+  }
+
+(* lines covering content bytes [0, n) of the payload at [off] *)
+let lines_covering ~off n =
+  let first = Montage.Payload_hdr.content_off off in
+  ((first + n - 1) / R.line_size) - (first / R.line_size) + 1
+
+let test_rebuild_is_touch_proportional subject () =
+  let region, esys = make_esys () in
+  let upsert = subject.fresh esys in
+  (* keys of 2..58 bytes, so some cross the content's first line;
+     values up to ~300 bytes, several lines each *)
+  let key i = Printf.sprintf "%02d%s" i (String.make (i mod 57) 'k') in
+  let value i ver = Printf.sprintf "%s/%d/%s" (key i) ver (String.make ((i * 37) mod 300) 'v') in
+  let n = 60 in
+  for i = 0 to n - 1 do
+    upsert (key i) (value i 1)
+  done;
+  E.advance_epoch esys ~tid:0;
+  for i = 0 to n - 1 do
+    if i mod 3 = 0 then upsert (key i) (value i 2)
+  done;
+  E.sync esys ~tid:0;
+  E.stop_background esys;
+  R.crash region;
+  let esys2, payloads = E.recover ~config:on_cfg region in
+  Alcotest.(check int) "every key survives" n (Array.length payloads);
+  let lines0 = (R.stats region).R.lines_read in
+  let get = subject.rebuild esys2 payloads in
+  let charged = (R.stats region).R.lines_read - lines0 in
+  let st = E.mirror_stats esys2 in
+  Alcotest.(check int) "nothing resident after rebuild" 0 st.E.resident_bytes;
+  Alcotest.(check int) "no hits during rebuild" 0 st.E.hits;
+  for i = 0 to n - 1 do
+    let before = (E.mirror_stats esys2).E.misses in
+    Alcotest.(check (option string))
+      "first get returns the pre-crash value"
+      (Some (value i (if i mod 3 = 0 then 2 else 1)))
+      (get (key i));
+    Alcotest.(check int) "first get is a miss" (before + 1) (E.mirror_stats esys2).E.misses
+  done;
+  let key_lines =
+    Array.fold_left
+      (fun acc p ->
+        let k, _ = Payload.Kv.get_unsafe esys2 p in
+        acc + lines_covering ~off:p.E.off (4 + String.length k))
+      0 payloads
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "rebuild charged %d lines, keys cover %d" charged key_lines)
+    true (charged <= key_lines);
+  E.stop_background esys2
+
 let () =
   Alcotest.run "mirror"
     [
@@ -362,6 +458,13 @@ let () =
           Alcotest.test_case "concurrent mutators under Enforce" `Quick
             test_concurrent_coherence_under_enforce;
           QCheck_alcotest.to_alcotest prop_mirrored_map_matches_model;
+        ] );
+      ( "key-only rebuild",
+        [
+          Alcotest.test_case "mhashmap" `Quick (test_rebuild_is_touch_proportional mhashmap_rebuilt);
+          Alcotest.test_case "nb_hashmap" `Quick
+            (test_rebuild_is_touch_proportional nb_hashmap_rebuilt);
+          Alcotest.test_case "mskiplist" `Quick (test_rebuild_is_touch_proportional mskiplist_rebuilt);
         ] );
       ( "crash matrix",
         [ Alcotest.test_case "recovery is cold" `Quick test_crash_matrix_recovery_is_cold ] );

@@ -153,6 +153,65 @@ let qcheck_crash_keeps_persisted_prefix =
       Nvm.Region.crash ~persist_unfenced:0.5 ~evict_dirty:0.3 ~rng r;
       Hashtbl.fold (fun slot v acc -> acc && Nvm.Region.get_u8 r ~off:(slot * 64) = v) fenced true)
 
+(* ---- regions built from an image ----
+
+   [of_image] fills its buffers from the image and zeroes only the
+   tail past it, so these pin what a caller sees of memory the image
+   does not cover.  Garbage-filled buffers are allocated and dropped
+   first, so a buffer that reuses their memory would show it. *)
+
+let image_of_length n = Bytes.init n (fun i -> Char.chr (1 + (i mod 251)))
+
+let churn_heap () =
+  List.iter
+    (fun n -> ignore (Sys.opaque_identity (Bytes.make n '\xff')))
+    [ 1 lsl 10; 1 lsl 16; 1 lsl 20; 5 lsl 20 ];
+  Gc.full_major ()
+
+let read_all r = Nvm.Region.read_string r ~off:0 ~len:(Nvm.Region.capacity r)
+
+let check_padded_image len =
+  let img = image_of_length len in
+  churn_heap ();
+  let r = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:2 img in
+  let cap = (len + 63) / 64 * 64 in
+  Alcotest.(check int) "capacity rounds up to a line" cap (Nvm.Region.capacity r);
+  let padded = Bytes.to_string img ^ String.make (cap - len) '\000' in
+  Alcotest.(check bool) "image then a zero tail" true (read_all r = padded);
+  Nvm.Region.crash r;
+  Alcotest.(check bool) "zero tail survives crash" true (read_all r = padded);
+  Alcotest.(check bool) "media_image = image + zero padding" true
+    (Bytes.to_string (Nvm.Region.media_image r) = padded)
+
+let test_of_image_pads_to_line () = check_padded_image 100
+
+(* past 2 MiB, so the buffers take the huge-page advice *)
+let test_of_image_pads_large () = check_padded_image ((4 lsl 20) + 37)
+
+let test_of_image_regions_independent () =
+  let img = image_of_length 4096 in
+  let orig = Bytes.copy img in
+  let r1 = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:2 img in
+  let r2 = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:2 img in
+  Nvm.Region.write_string r1 ~off:64 "only-in-r1";
+  Nvm.Region.persist r1 ~tid:0 ~off:64 ~len:10;
+  Nvm.Region.write_string r2 ~off:1000 "r2-unfenced";
+  Nvm.Region.crash r1;
+  Alcotest.(check string) "r1 kept its fenced write" "only-in-r1"
+    (Nvm.Region.read_string r1 ~off:64 ~len:10);
+  Alcotest.(check bool) "r2 does not see r1's write" true
+    (Nvm.Region.read_string r2 ~off:64 ~len:10 = Bytes.sub_string orig 64 10);
+  Alcotest.(check bool) "r1 does not see r2's write" true
+    (Nvm.Region.read_string r1 ~off:1000 ~len:11 = Bytes.sub_string orig 1000 11);
+  Alcotest.(check bool) "the image is untouched" true (Bytes.equal img orig);
+  Bytes.fill img 0 (Bytes.length img) 'z';
+  Alcotest.(check bool) "later image writes do not reach r2's media" true
+    (Bytes.equal (Nvm.Region.media_image r2) orig)
+
+let test_of_image_empty_rejected () =
+  Alcotest.check_raises "empty image" (Invalid_argument "Region.of_image: empty image") (fun () ->
+      ignore (Nvm.Region.of_image Bytes.empty))
+
 let () =
   Alcotest.run "nvm"
     [
@@ -180,4 +239,11 @@ let () =
           Alcotest.test_case "transient bypass" `Quick test_transient_access_not_persisted;
         ] );
       ("stats", [ Alcotest.test_case "counting" `Quick test_stats_counting ]);
+      ( "of_image",
+        [
+          Alcotest.test_case "pads to a line" `Quick test_of_image_pads_to_line;
+          Alcotest.test_case "pads past huge pages" `Quick test_of_image_pads_large;
+          Alcotest.test_case "regions independent" `Quick test_of_image_regions_independent;
+          Alcotest.test_case "empty image rejected" `Quick test_of_image_empty_rejected;
+        ] );
     ]
